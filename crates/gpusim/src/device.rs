@@ -110,6 +110,10 @@ impl Device {
         if via_mps != matches!(context.owner, ContextOwner::MpsServer) {
             return Err(GpuError::InvalidContext);
         }
+        let work = desc.roofline_secs(&self.spec, shape.elems);
+        if !work.is_finite() {
+            return Err(GpuError::NonFiniteWork { kernel: desc.name });
+        }
         let overhead = if via_mps {
             self.spec
                 .launch_overhead
@@ -126,7 +130,7 @@ impl Device {
             // The kernel cannot start before the host finishes the
             // submit path.
             arrival: at + overhead,
-            work: desc.roofline_time(&self.spec, shape.elems).as_secs_f64(),
+            work: SimDuration::from_secs_f64(work).as_secs_f64(),
             max_rate: occupancy(&self.spec, shape),
         });
         Ok(LaunchTicket { job, overhead })
@@ -147,12 +151,21 @@ impl Device {
     /// Returns per-job outcomes (in submission order) and clears the
     /// queue. The device's cumulative busy time is updated.
     pub fn run_pending(&mut self) -> Vec<JobOutcome> {
+        self.run_pending_into(&mut Vec::new())
+    }
+
+    /// [`Device::run_pending`], handing the executed jobs back: `batch`
+    /// is cleared and swapped with the queue, so `batch[i]` is the job
+    /// of outcome `i` and the two buffers trade allocations without
+    /// copying.
+    pub fn run_pending_into(&mut self, batch: &mut Vec<Job>) -> Vec<JobOutcome> {
         let tl = RateSharingTimeline::with_contention(1.0, self.spec.sharing_penalty);
         let outcomes = tl.simulate(&self.pending);
         for o in &outcomes {
             self.busy += o.end - o.start;
         }
-        self.pending.clear();
+        batch.clear();
+        std::mem::swap(&mut self.pending, batch);
         outcomes
     }
 
@@ -282,6 +295,60 @@ mod tests {
             .unwrap_err(),
             GpuError::InvalidStream
         );
+    }
+
+    #[test]
+    fn non_finite_roofline_is_rejected_before_queueing() {
+        let mut d = device();
+        let ctx = d.create_context(0).unwrap();
+        let s = d.create_stream(ctx.id).unwrap();
+        let shape = KernelShape::new(1_000, 32);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let k = KernelDesc::new("bad", bad, bad);
+            assert_eq!(
+                d.submit(ctx.id, s.id, &k, shape, SimTime::ZERO, false)
+                    .unwrap_err(),
+                GpuError::NonFiniteWork { kernel: "bad" }
+            );
+        }
+        assert_eq!((d.pending_len(), d.total_launches()), (0, 0));
+        let ok = d
+            .submit(
+                ctx.id,
+                s.id,
+                &KernelDesc::new("k", 1.0, 1.0),
+                shape,
+                SimTime::ZERO,
+                false,
+            )
+            .unwrap();
+        assert_eq!(ok.job, 0, "rejected submits consume no job ids");
+    }
+
+    #[test]
+    fn run_pending_into_hands_back_the_executed_batch() {
+        let mut d = device();
+        let ctx = d.create_context(0).unwrap();
+        let s = d.create_stream(ctx.id).unwrap();
+        let k = KernelDesc::new("k", 50.0, 8.0);
+        for elems in [1_000_000, 2_000_000] {
+            d.submit(
+                ctx.id,
+                s.id,
+                &k,
+                KernelShape::new(elems, 320),
+                SimTime::ZERO,
+                false,
+            )
+            .unwrap();
+        }
+        let queued: Vec<(u64, f64)> = d.pending_jobs().iter().map(|j| (j.id, j.work)).collect();
+        let mut batch = vec![d.pending_jobs()[0].clone()];
+        let out = d.run_pending_into(&mut batch);
+        let handed: Vec<(u64, f64)> = batch.iter().map(|j| (j.id, j.work)).collect();
+        assert_eq!(handed, queued);
+        assert_eq!(out.iter().map(|o| o.id).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(d.pending_len(), 0);
     }
 
     #[test]

@@ -23,6 +23,10 @@ pub enum GpuError {
     MpsRejected { reason: &'static str },
     /// A kernel launch failed and the retry budget was exhausted.
     LaunchFailed { reason: &'static str },
+    /// A kernel's roofline time is NaN or infinite (its descriptor
+    /// carries non-finite per-element costs); the timeline cannot
+    /// schedule it.
+    NonFiniteWork { kernel: &'static str },
     /// Touching device-resident memory from a host-only process — the
     /// performance hazard the paper had to engineer around (§5.2).
     HostTouchedDeviceMemory,
@@ -46,6 +50,9 @@ impl fmt::Display for GpuError {
             GpuError::PoolDiscipline => write!(f, "pool free violates LIFO discipline"),
             GpuError::MpsRejected { reason } => write!(f, "MPS rejected client: {reason}"),
             GpuError::LaunchFailed { reason } => write!(f, "kernel launch failed: {reason}"),
+            GpuError::NonFiniteWork { kernel } => {
+                write!(f, "kernel {kernel} has a non-finite roofline time")
+            }
             GpuError::HostTouchedDeviceMemory => {
                 write!(f, "host-only process touched device-resident memory")
             }

@@ -52,10 +52,16 @@ impl KernelDesc {
     /// Roofline time at *full* device efficiency: the greater of the
     /// compute time and the memory time for `shape.elems` elements.
     pub fn roofline_time(&self, spec: &DeviceSpec, elems: u64) -> SimDuration {
+        SimDuration::from_secs_f64(self.roofline_secs(spec, elems))
+    }
+
+    /// [`KernelDesc::roofline_time`] in unrounded seconds; NaN or
+    /// infinite when the descriptor's per-element costs are.
+    pub(crate) fn roofline_secs(&self, spec: &DeviceSpec, elems: u64) -> f64 {
         let n = elems as f64;
         let t_compute = n * self.flops_per_elem / (spec.fp64_gflops * 1e9);
         let t_memory = n * self.bytes_per_elem / (spec.mem_bandwidth_gbs * 1e9);
-        SimDuration::from_secs_f64(t_compute.max(t_memory))
+        t_compute.max(t_memory)
     }
 
     /// Achieved kernel duration for one launch of `shape` on `spec`,

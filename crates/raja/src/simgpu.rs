@@ -9,14 +9,23 @@
 //! stream's completion time, and wakes the others. This mirrors the
 //! bulk-synchronous structure of the application (every rank
 //! synchronizes with its device at least once per cycle).
+//!
+//! **Layout.** Stream ids are dense per device, so per-stream state
+//! lives in one slot per stream, indexed by id; per-job state is keyed
+//! by position in the device's pending queue, and
+//! [`Device::run_pending_into`] hands the executed batch back beside
+//! its outcomes. A launch is one queue push, with no hashing; a sync is
+//! O(jobs) and, with telemetry off and no events, allocates only the
+//! timeline's per-batch buffers. **Bit-identity:** sync ends, event
+//! times and drained kernel spans do not depend on the layout, on which
+//! thread led the sync, or on whether telemetry is on.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
 use hsim_gpu::mps::{MpsClient, MpsServer};
-use hsim_gpu::{ContextId, Device, DeviceSpec, GpuError, KernelDesc, KernelShape, StreamId};
+use hsim_gpu::{ContextId, Device, DeviceSpec, GpuError, Job, KernelDesc, KernelShape, StreamId};
 use hsim_time::{SimDuration, SimTime};
 
 struct Inner {
@@ -25,27 +34,32 @@ struct Inner {
     clients: usize,
     syncers: usize,
     epoch: u64,
-    /// job id → stream key for the in-flight epoch.
-    job_streams: HashMap<u64, u64>,
-    /// stream key → completion time of the last kernel in the resolved
-    /// epoch (cumulative across epochs).
-    stream_end: HashMap<u64, SimTime>,
-    /// Last job id submitted per stream in the in-flight epoch.
-    stream_last_job: HashMap<u64, u64>,
-    /// CUDA-style timing events: pending (recorded, not yet resolved
-    /// by a sync) and resolved.
-    next_event: u64,
-    events_pending: HashMap<u64, EventMark>,
-    events_resolved: HashMap<u64, SimTime>,
-    /// job id → (kernel name, elements) for the in-flight epoch.
-    /// Populated only when the submitting thread records telemetry, so
-    /// the disabled path never allocates here.
-    job_meta: HashMap<u64, (&'static str, u64)>,
-    /// Kernels resolved at the last sync, keyed by stream, awaiting
-    /// drain by each stream's owning client thread. Per-client drain
-    /// keeps span/profile attribution independent of which thread
-    /// happened to be the sync leader.
-    resolved_kernels: HashMap<u64, Vec<ResolvedKernel>>,
+    /// Per-stream state, indexed by stream id.
+    streams: Vec<StreamSlot>,
+    /// The last executed batch (`Device::run_pending_into` scratch).
+    batch: Vec<Job>,
+    /// CUDA-style timing events, indexed by handle: `None` until the
+    /// sync that resolves them.
+    events: Vec<Option<SimTime>>,
+    /// Events recorded in the in-flight epoch, in record order: the
+    /// handle, the queue position of the last job on its stream at
+    /// record time (if any), and the stream's prior end as fallback.
+    events_pending: Vec<(usize, Option<usize>, SimTime)>,
+    /// (queue position, kernel name, elements) of the in-flight
+    /// epoch's launches. Populated only when the submitting thread
+    /// records telemetry, so the disabled path never allocates here.
+    job_meta: Vec<(usize, &'static str, u64)>,
+}
+
+#[derive(Default)]
+struct StreamSlot {
+    /// Completion time of the stream's last kernel (cumulative across
+    /// epochs).
+    end: SimTime,
+    /// Kernels resolved at the last sync awaiting drain by the
+    /// stream's owning client thread. Per-client drain keeps span and
+    /// profile attribution independent of which thread led the sync.
+    resolved: Vec<ResolvedKernel>,
 }
 
 /// One device-side kernel execution resolved at a sync, pending
@@ -59,13 +73,22 @@ struct ResolvedKernel {
     occupancy: f64,
 }
 
-/// What a recorded event points at: the last job on its stream at
-/// record time (if any this epoch), plus the stream's prior completion
-/// time as fallback.
-#[derive(Debug, Clone, Copy)]
-struct EventMark {
-    job: Option<u64>,
-    fallback: SimTime,
+impl Inner {
+    fn new(device: Device, mps: Option<MpsServer>, streams: &[StreamId]) -> Self {
+        let slots = streams.iter().map(|s| s.0 as usize + 1).max().unwrap_or(0);
+        Inner {
+            device,
+            mps,
+            clients: streams.len(),
+            syncers: 0,
+            epoch: 0,
+            streams: (0..slots).map(|_| StreamSlot::default()).collect(),
+            batch: Vec::new(),
+            events: Vec::new(),
+            events_pending: Vec::new(),
+            job_meta: Vec::new(),
+        }
+    }
 }
 
 /// One simulated GPU shared by one or more rank threads.
@@ -97,21 +120,7 @@ impl SharedDevice {
         let ctx = device.create_context(pid)?;
         let stream = device.create_stream(ctx.id)?;
         let dev = Arc::new(SharedDevice {
-            inner: Mutex::new(Inner {
-                device,
-                mps: None,
-                clients: 1,
-                syncers: 0,
-                epoch: 0,
-                job_streams: HashMap::new(),
-                stream_end: HashMap::new(),
-                stream_last_job: HashMap::new(),
-                next_event: 0,
-                events_pending: HashMap::new(),
-                events_resolved: HashMap::new(),
-                job_meta: HashMap::new(),
-                resolved_kernels: HashMap::new(),
-            }),
+            inner: Mutex::new(Inner::new(device, None, &[stream.id])),
             resolved: Condvar::new(),
             spec,
             id,
@@ -139,22 +148,9 @@ impl SharedDevice {
             mps_clients.push(server.connect(&mut device, pid)?);
         }
         let ctx = device.active_context().ok_or(GpuError::InvalidContext)?.id;
+        let streams: Vec<StreamId> = mps_clients.iter().map(|mc| mc.stream.id).collect();
         let dev = Arc::new(SharedDevice {
-            inner: Mutex::new(Inner {
-                device,
-                mps: Some(server),
-                clients: pids.len(),
-                syncers: 0,
-                epoch: 0,
-                job_streams: HashMap::new(),
-                stream_end: HashMap::new(),
-                stream_last_job: HashMap::new(),
-                next_event: 0,
-                events_pending: HashMap::new(),
-                events_resolved: HashMap::new(),
-                job_meta: HashMap::new(),
-                resolved_kernels: HashMap::new(),
-            }),
+            inner: Mutex::new(Inner::new(device, Some(server), &streams)),
             resolved: Condvar::new(),
             spec,
             id,
@@ -256,10 +252,9 @@ impl GpuClient {
                 .submit(self.ctx, self.stream, desc, shape, at, false)?,
             _ => return Err(GpuError::InvalidContext),
         };
-        inner.job_streams.insert(ticket.job, self.stream.0);
-        inner.stream_last_job.insert(self.stream.0, ticket.job);
         if hsim_telemetry::is_enabled() {
-            inner.job_meta.insert(ticket.job, (desc.name, shape.elems));
+            let pos = inner.device.pending_len() - 1;
+            inner.job_meta.push((pos, desc.name, shape.elems));
         }
         Ok(ticket.overhead)
     }
@@ -273,120 +268,89 @@ impl GpuClient {
     /// the others once would deadlock, matching a real stream-sync
     /// against peers that never launch.
     pub fn sync(&self, at: SimTime) -> SimTime {
-        let mut inner = self.dev.inner.lock();
-        inner.syncers += 1;
-        let my_epoch = inner.epoch;
-        if inner.syncers == inner.clients {
-            // Leader: resolve the batch. Snapshot the queued jobs'
-            // work/occupancy caps first — the profiler needs them and
-            // `run_pending` clears the queue.
-            let job_caps: HashMap<u64, (f64, f64)> = if inner.job_meta.is_empty() {
-                HashMap::new()
-            } else {
-                inner
-                    .device
-                    .pending_jobs()
-                    .iter()
-                    .map(|j| (j.id, (j.work, j.max_rate)))
-                    .collect()
-            };
-            let outcomes = inner.device.run_pending();
-            let mut job_ends: HashMap<u64, SimTime> = HashMap::new();
-            for o in &outcomes {
-                job_ends.insert(o.id, o.end);
-                if let Some(&stream) = inner.job_streams.get(&o.id) {
-                    let e = inner.stream_end.entry(stream).or_insert(SimTime::ZERO);
-                    *e = e.merge(o.end);
-                }
-                // Stash the kernel for its own client to drain: which
-                // thread led the sync must not change the telemetry.
-                if let Some(&(name, elems)) = inner.job_meta.get(&o.id) {
-                    let (work, max_rate) = job_caps.get(&o.id).copied().unwrap_or((0.0, 1.0));
-                    let elapsed = (o.end - o.start).as_secs_f64();
-                    let occupancy = if elapsed > 0.0 {
-                        (work / elapsed).clamp(0.0, 1.0)
-                    } else {
-                        max_rate
-                    };
-                    if let Some(&stream) = inner.job_streams.get(&o.id) {
-                        inner
-                            .resolved_kernels
-                            .entry(stream)
-                            .or_default()
-                            .push(ResolvedKernel {
-                                name,
-                                elems,
-                                start: o.start,
-                                end: o.end,
-                                occupancy,
-                            });
-                    }
-                }
+        let mut guard = self.dev.inner.lock();
+        guard.syncers += 1;
+        let my_epoch = guard.epoch;
+        if guard.syncers == guard.clients {
+            // Leader: resolve the batch; `batch[i]` is outcome `i`'s job.
+            let inner = &mut *guard;
+            let outcomes = inner.device.run_pending_into(&mut inner.batch);
+            for (j, o) in inner.batch.iter().zip(&outcomes) {
+                let slot = &mut inner.streams[j.stream as usize];
+                slot.end = slot.end.merge(o.end);
+            }
+            // Stash each profiled kernel for its own client to drain:
+            // which thread led the sync must not change the telemetry.
+            for &(pos, name, elems) in &inner.job_meta {
+                let (j, o) = (&inner.batch[pos], &outcomes[pos]);
+                let elapsed = (o.end - o.start).as_secs_f64();
+                let occupancy = if elapsed > 0.0 {
+                    (j.work / elapsed).clamp(0.0, 1.0)
+                } else {
+                    j.max_rate
+                };
+                inner.streams[j.stream as usize]
+                    .resolved
+                    .push(ResolvedKernel {
+                        name,
+                        elems,
+                        start: o.start,
+                        end: o.end,
+                        occupancy,
+                    });
             }
             inner.job_meta.clear();
-            inner.job_streams.clear();
-            inner.stream_last_job.clear();
             // Resolve recorded events: the completion of the last job
             // submitted to their stream before the record, or the
             // stream's prior end when nothing was in flight.
-            let pending: Vec<(u64, EventMark)> = inner.events_pending.drain().collect();
-            for (ev, mark) in pending {
-                let t = mark
-                    .job
-                    .and_then(|j| job_ends.get(&j).copied())
-                    .unwrap_or(mark.fallback);
-                inner.events_resolved.insert(ev, t);
+            for (ev, job, fallback) in inner.events_pending.drain(..) {
+                inner.events[ev] = Some(job.map_or(fallback, |pos| outcomes[pos].end));
             }
             inner.syncers = 0;
             inner.epoch += 1;
             self.dev.resolved.notify_all();
         } else {
-            while inner.epoch == my_epoch {
-                self.dev.resolved.wait(&mut inner);
+            while guard.epoch == my_epoch {
+                self.dev.resolved.wait(&mut guard);
             }
         }
         // Drain this stream's resolved kernels into the calling
         // thread's collector (device-timeline spans + the per-kernel
         // profile — GPU kernels feed the profiler here, not at launch).
         hsim_telemetry::count(hsim_telemetry::Counter::DeviceSyncs, 1);
-        if let Some(kernels) = inner.resolved_kernels.remove(&self.stream.0) {
-            if hsim_telemetry::is_enabled() {
-                let pid = hsim_telemetry::DEVICE_PID_BASE + self.dev.id as u32;
-                let tid = self.stream.0 as u32;
-                for k in kernels {
-                    hsim_telemetry::span_args(
-                        pid,
-                        tid,
-                        hsim_telemetry::Category::GpuKernel,
-                        k.name,
-                        k.start,
-                        k.end,
-                        &[("elems", k.elems)],
-                    );
-                    hsim_telemetry::kernel_launch(
-                        k.name,
-                        k.elems,
-                        0,
-                        k.end - k.start,
-                        true,
-                        k.occupancy,
-                    );
-                    hsim_telemetry::gauge_max(hsim_telemetry::Gauge::DeviceOccupancy, k.occupancy);
-                }
+        let slot = &mut guard.streams[self.stream.0 as usize];
+        let kernels = slot.resolved.drain(..);
+        if hsim_telemetry::is_enabled() {
+            let pid = hsim_telemetry::DEVICE_PID_BASE + self.dev.id as u32;
+            let tid = self.stream.0 as u32;
+            for k in kernels {
+                hsim_telemetry::span_args(
+                    pid,
+                    tid,
+                    hsim_telemetry::Category::GpuKernel,
+                    k.name,
+                    k.start,
+                    k.end,
+                    &[("elems", k.elems)],
+                );
+                hsim_telemetry::kernel_launch(
+                    k.name,
+                    k.elems,
+                    0,
+                    k.end - k.start,
+                    true,
+                    k.occupancy,
+                );
+                hsim_telemetry::gauge_max(hsim_telemetry::Gauge::DeviceOccupancy, k.occupancy);
             }
         }
-        inner
-            .stream_end
-            .get(&self.stream.0)
-            .copied()
-            .unwrap_or(at)
-            .merge(at)
+        slot.end.merge(at)
     }
 }
 
 /// Handle to a recorded timing event (see [`GpuClient::record_event`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
+pub struct EventHandle(usize);
 
 impl GpuClient {
     /// Record a CUDA-style timing event on this client's stream: it
@@ -394,33 +358,31 @@ impl GpuClient {
     /// kernel submitted to the stream before the record.
     pub fn record_event(&self) -> EventHandle {
         let mut inner = self.dev.inner.lock();
-        let id = inner.next_event;
-        inner.next_event += 1;
-        let mark = EventMark {
-            job: inner.stream_last_job.get(&self.stream.0).copied(),
-            fallback: inner
-                .stream_end
-                .get(&self.stream.0)
-                .copied()
-                .unwrap_or(SimTime::ZERO),
-        };
-        inner.events_pending.insert(id, mark);
+        let id = inner.events.len();
+        // Rare: scan the queue rather than track each launch's stream.
+        let job = inner
+            .device
+            .pending_jobs()
+            .iter()
+            .rposition(|j| j.stream == self.stream.0);
+        let fallback = inner.streams[self.stream.0 as usize].end;
+        inner.events.push(None);
+        inner.events_pending.push((id, job, fallback));
         EventHandle(id)
     }
 
     /// The resolved time of an event; `None` until a sync has resolved
     /// it (CUDA's `cudaEventQuery` returning not-ready).
     pub fn event_time(&self, ev: EventHandle) -> Option<SimTime> {
-        self.dev.inner.lock().events_resolved.get(&ev.0).copied()
+        self.dev.inner.lock().events.get(ev.0).copied().flatten()
     }
 
     /// Elapsed virtual time between two resolved events (CUDA's
     /// `cudaEventElapsedTime`); `None` if either is unresolved.
     pub fn event_elapsed(&self, start: EventHandle, end: EventHandle) -> Option<SimDuration> {
         let inner = self.dev.inner.lock();
-        let a = inner.events_resolved.get(&start.0)?;
-        let b = inner.events_resolved.get(&end.0)?;
-        Some(*b - *a)
+        let time = |ev: EventHandle| inner.events.get(ev.0).copied().flatten();
+        Some(time(end)? - time(start)?)
     }
 }
 
