@@ -156,6 +156,18 @@ pub fn parse_tile_spec(s: &str) -> Result<[usize; 2], String> {
 }
 
 fn probe_tile(threads: usize) -> [usize; 2] {
+    // The probe's kernels are calibration, not part of any run: keep
+    // them out of whatever collector the calling thread records into
+    // (`perf` records host counters on the thread that starts runs).
+    let collector = hsim_telemetry::uninstall();
+    let tile = probe_tile_untraced(threads);
+    if let Some(c) = collector {
+        hsim_telemetry::install(c);
+    }
+    tile
+}
+
+fn probe_tile_untraced(threads: usize) -> [usize; 2] {
     use hsim_raja::{CpuModel, Executor, Fidelity, Target, WorkPool};
     let n = TILE_PROBE_N;
     let grid = hsim_mesh::GlobalGrid::new(n, n, n);

@@ -239,6 +239,14 @@ pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult
                 .to_string(),
         );
     }
+    // Resolve the tile here, on the calling thread, before any rank
+    // thread installs its collector and fault injector: the one-shot
+    // wall-clock probe runs hydro kernels, and inside a rank thread
+    // their spans would land in that rank's trace (and could consume a
+    // planned `PoolPanic`) for whichever rank reached the probe first.
+    let tile = cfg
+        .tile
+        .unwrap_or_else(|| calib::auto_tile_for(cfg.host_threads));
     if let Some(rcfg) = &cfg.rebalance {
         if !matches!(cfg.mode, ExecMode::Heterogeneous { .. }) {
             return Err(format!(
@@ -252,12 +260,15 @@ pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult
             cpu_fraction,
             rcfg,
             &fault_plan,
+            tile,
             losses.first().copied(),
         );
     }
     match losses.first().copied() {
-        None => run_intact(cfg, cpu_fraction, &fault_plan),
-        Some((lost, at_cycle)) => run_degraded(cfg, cpu_fraction, &fault_plan, lost, at_cycle),
+        None => run_intact(cfg, cpu_fraction, &fault_plan, tile),
+        Some((lost, at_cycle)) => {
+            run_degraded(cfg, cpu_fraction, &fault_plan, tile, lost, at_cycle)
+        }
     }
 }
 
@@ -369,6 +380,7 @@ fn run_intact(
     cfg: &RunConfig,
     cpu_fraction: f64,
     fault_plan: &Arc<hsim_faults::FaultPlan>,
+    tile: [usize; 2],
 ) -> Result<RunResult, String> {
     let (decomp, roles) = build_world(cfg, cpu_fraction)?;
     let (setup_extra, mps_injected, mps_retries) =
@@ -387,6 +399,7 @@ fn run_intact(
             restore: None,
             take_checkpoint: false,
             setup_extra: &setup_extra,
+            tile,
         },
     )?;
     let runtime = slowest_total(&seg.reports);
@@ -433,6 +446,7 @@ fn run_degraded(
     cfg: &RunConfig,
     cpu_fraction: f64,
     fault_plan: &Arc<hsim_faults::FaultPlan>,
+    tile: [usize; 2],
     lost: usize,
     at_cycle: u64,
 ) -> Result<RunResult, String> {
@@ -465,6 +479,7 @@ fn run_degraded(
             restore: None,
             take_checkpoint: true,
             setup_extra: &setup_extra,
+            tile,
         },
     )?;
     let checkpoint = seg1
@@ -493,6 +508,7 @@ fn run_degraded(
             restore: Some(&checkpoint),
             take_checkpoint: false,
             setup_extra: &zeros,
+            tile,
         },
     )?;
 
@@ -650,6 +666,7 @@ fn run_online(
     cpu_fraction: f64,
     rcfg: &RebalanceConfig,
     fault_plan: &Arc<hsim_faults::FaultPlan>,
+    tile: [usize; 2],
     loss: Option<(usize, u64)>,
 ) -> Result<RunResult, String> {
     let collect = cfg.telemetry || cfg.trace;
@@ -726,6 +743,7 @@ fn run_online(
                 restore: checkpoint.as_ref(),
                 take_checkpoint: last < cfg.cycles,
                 setup_extra: &zeros,
+                tile,
             },
         )?;
         runtime += slowest_total(&seg.reports);
@@ -901,6 +919,8 @@ struct Segment<'a> {
     take_checkpoint: bool,
     /// Extra per-rank setup charge (MPS connect retry backoff).
     setup_extra: &'a [SimDuration],
+    /// The resolved y–z tile shape of the fused kernels.
+    tile: [usize; 2],
 }
 
 struct SegmentOut {
@@ -1118,9 +1138,7 @@ fn run_segment(
                     cfg_ref.multipolicy_threshold,
                 ));
             let mut state = HydroState::new(grid, sub, cfg_ref.fidelity);
-            state.tile = cfg_ref
-                .tile
-                .unwrap_or_else(|| calib::auto_tile_for(cfg_ref.host_threads));
+            state.tile = seg_ref.tile;
             cfg_ref.problem.init(&mut state);
             // Degraded restart: unpack this rank's owned box from the
             // host-staged checkpoint (ghosts refill on the first

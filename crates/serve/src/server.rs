@@ -41,6 +41,7 @@ use hsim_core::confhash::ContentHasher;
 use hsim_core::runner::RunConfig;
 use hsim_core::{calib, figures, ExecMode, RunResult};
 use hsim_telemetry::{Counter, Gauge, Metrics};
+use hsim_time::LogHistogram;
 
 /// Lock a mutex, recovering the data from a poisoned lock: server
 /// state is plain data (maps, vectors, counters) that stays coherent
@@ -321,7 +322,8 @@ struct Inner {
     cache: Mutex<BTreeMap<u64, Arc<RunOutcome>>>,
     inflight: Mutex<BTreeMap<u64, Arc<Pending>>>,
     metrics: Mutex<Metrics>,
-    latencies_ns: Mutex<Vec<u64>>,
+    /// Every answered request's end-to-end latency, in nanoseconds.
+    latency_ns: Mutex<LogHistogram>,
 }
 
 /// The long-lived simulation server. See the module docs for the
@@ -351,7 +353,7 @@ impl Server {
             cache: Mutex::new(BTreeMap::new()),
             inflight: Mutex::new(BTreeMap::new()),
             metrics: Mutex::new(Metrics::new()),
-            latencies_ns: Mutex::new(Vec::new()),
+            latency_ns: Mutex::new(LogHistogram::new()),
         });
         let workers = (0..cfg.workers)
             .map(|_| {
@@ -545,18 +547,15 @@ impl Server {
 
     fn record_latency(&self, t0: Instant) {
         let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        lock(&self.inner.latencies_ns).push(ns);
+        lock(&self.inner.latency_ns).record(ns);
     }
 
-    /// The `q` latency quantile in (fractional) microseconds.
-    fn latency_quantile_us(&self, q: f64) -> f64 {
-        let mut lat = lock(&self.inner.latencies_ns).clone();
-        if lat.is_empty() {
-            return 0.0;
-        }
-        lat.sort_unstable();
-        let idx = ((lat.len() - 1) as f64 * q).round() as usize;
-        lat.get(idx).or_else(|| lat.last()).copied().unwrap_or(0) as f64 * 1e-3
+    /// The p50 and p99 request latencies in (fractional) microseconds,
+    /// from one walk of the histogram.
+    fn latency_p50_p99_us(&self) -> [f64; 2] {
+        lock(&self.inner.latency_ns)
+            .quantiles([0.50, 0.99])
+            .map(|ns| ns as f64 * 1e-3)
     }
 
     /// Counter snapshot + latency quantiles.
@@ -573,9 +572,10 @@ impl Server {
             p99_us: 0.0,
         };
         drop(m);
+        let [p50_us, p99_us] = self.latency_p50_p99_us();
         ServeStats {
-            p50_us: self.latency_quantile_us(0.50),
-            p99_us: self.latency_quantile_us(0.99),
+            p50_us,
+            p99_us,
             ..stats
         }
     }
@@ -585,10 +585,9 @@ impl Server {
     pub fn metrics_text(&self) -> String {
         let mut out = lock(&self.inner.metrics).to_prometheus_text();
         out.push_str("# TYPE hsim_serve_latency_us summary\n");
-        for (q, tag) in [(0.50, "0.5"), (0.99, "0.99")] {
+        for (us, tag) in self.latency_p50_p99_us().into_iter().zip(["0.5", "0.99"]) {
             out.push_str(&format!(
-                "hsim_serve_latency_us{{quantile=\"{tag}\"}} {}\n",
-                self.latency_quantile_us(q)
+                "hsim_serve_latency_us{{quantile=\"{tag}\"}} {us}\n"
             ));
         }
         out

@@ -13,8 +13,9 @@
 //!   saturating arithmetic (no silent overflow in long sweeps),
 //! * [`RankClock`] — the per-MPI-rank clock that the rest of the stack
 //!   advances and merges (Lamport-style) on communication,
-//! * [`stats`] — Welford mean/variance, min/max, and fixed-bucket
-//!   histograms for kernel-time aggregation,
+//! * [`stats`] — Welford mean/variance, min/max, fixed-bucket
+//!   histograms for kernel-time aggregation, and a fixed-size
+//!   log-linear histogram for latency quantiles,
 //! * [`trace`] — lightweight span traces with an ASCII Gantt renderer
 //!   used by examples to show who computed when,
 //! * [`rng`] — a SplitMix64 generator for deterministic workload
@@ -30,6 +31,6 @@ pub mod trace;
 
 pub use clock::RankClock;
 pub use rng::SplitMix64;
-pub use stats::{Histogram, Welford};
+pub use stats::{Histogram, LogHistogram, Welford};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Span, SpanCategory, Trace};

@@ -196,6 +196,111 @@ impl Histogram {
     }
 }
 
+/// Bits of linear resolution per power of two in [`LogHistogram`]:
+/// 2^7 = 128 sub-buckets per octave.
+const LOG_SUB_BITS: u32 = 7;
+const LOG_SUB: usize = 1 << LOG_SUB_BITS;
+/// One exact group for `0..128`, then one group of 128 sub-buckets for
+/// each octave `[2^m, 2^(m+1))`, m = 7..=63: 58 groups in all.
+const LOG_BUCKETS: usize = (64 - LOG_SUB_BITS as usize + 1) * LOG_SUB;
+
+/// Fixed-size log-linear histogram of `u64` samples (the HdrHistogram
+/// layout over the whole `u64` range). Values below 128 are counted
+/// exactly; larger ones fall into 128 equal-width sub-buckets per power
+/// of two, so no bucket is wider than 1/128 of its lower edge.
+///
+/// Recording is O(1) and never allocates; the structure is 58 KiB
+/// however many samples it has seen. Quantiles are reported as the
+/// midpoint of the bucket holding the exact nearest-rank sample, which
+/// is within [`LogHistogram::MAX_RELATIVE_ERROR`] of it.
+#[derive(Debug, Clone)]
+pub struct LogHistogram {
+    counts: Box<[u64]>,
+    total: u64,
+}
+
+impl Default for LogHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LogHistogram {
+    /// Largest relative distance between a reported quantile and the
+    /// exact sample it stands for: half a bucket, 1/256 (0.39%).
+    pub const MAX_RELATIVE_ERROR: f64 = 1.0 / (2 * LOG_SUB) as f64;
+
+    pub fn new() -> Self {
+        LogHistogram {
+            counts: vec![0; LOG_BUCKETS].into_boxed_slice(),
+            total: 0,
+        }
+    }
+
+    /// Add one sample.
+    pub fn record(&mut self, v: u64) {
+        if let Some(c) = self.counts.get_mut(bucket_of(v)) {
+            *c = c.saturating_add(1);
+        }
+        self.total = self.total.saturating_add(1);
+    }
+
+    pub fn count(&self) -> u64 {
+        self.total
+    }
+
+    /// Nearest-rank quantiles, all from one cumulative walk: for each
+    /// `q`, the sample at 0-based rank `round((n−1)·q)` of the sorted
+    /// stream, as its bucket's midpoint. All zeros when empty.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [u64; N] {
+        let mut out = [0; N];
+        if self.total == 0 {
+            return out;
+        }
+        let ranks = qs.map(|q| ((self.total - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64);
+        let last = ranks.iter().copied().max().unwrap_or(0);
+        let mut seen = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            let next = seen.saturating_add(c);
+            for (o, r) in out.iter_mut().zip(ranks) {
+                if (seen..next).contains(&r) {
+                    *o = bucket_mid(i);
+                }
+            }
+            if next > last {
+                break;
+            }
+            seen = next;
+        }
+        out
+    }
+}
+
+/// The [`LogHistogram`] bucket holding `v`.
+fn bucket_of(v: u64) -> usize {
+    if v < LOG_SUB as u64 {
+        return v as usize;
+    }
+    // v lies in [2^m, 2^(m+1)) with m >= 7; its top 8 bits pick the
+    // sub-bucket, the octave picks the group.
+    let shift = 63 - v.leading_zeros() - LOG_SUB_BITS;
+    ((shift as usize + 1) << LOG_SUB_BITS) | ((v >> shift) as usize & (LOG_SUB - 1))
+}
+
+/// The middle value of [`LogHistogram`] bucket `i` (rounded down).
+fn bucket_mid(i: usize) -> u64 {
+    let group = i >> LOG_SUB_BITS;
+    let sub = (i & (LOG_SUB - 1)) as u64;
+    if group == 0 {
+        return sub;
+    }
+    let shift = (group - 1) as u32;
+    ((LOG_SUB as u64 | sub) << shift) + ((1u64 << shift) - 1) / 2
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,5 +407,128 @@ mod tests {
         // 0.3 * (2/3) style values can round to the bucket count.
         h.push(0.29999999999999999);
         assert_eq!(h.count(), 1);
+    }
+
+    /// The exact nearest-rank quantile of a sorted copy: the log-based
+    /// algorithm `hsim-serve` used before [`LogHistogram`], kept as the
+    /// oracle. 0 for an empty stream.
+    fn exact_quantile(xs: &[u64], q: f64) -> u64 {
+        let mut sorted = xs.to_vec();
+        sorted.sort_unstable();
+        if sorted.is_empty() {
+            return 0;
+        }
+        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+        sorted[idx.min(sorted.len() - 1)]
+    }
+
+    /// Records `xs` and checks p50 and p99 against the oracle, the
+    /// error bound, their order, and the fixed footprint.
+    fn check_log_histogram(xs: &[u64]) {
+        let mut h = LogHistogram::new();
+        let footprint = h.counts.len();
+        for &x in xs {
+            h.record(x);
+        }
+        assert_eq!(h.count(), xs.len() as u64);
+        assert_eq!(h.counts.len(), footprint, "memory grew with samples");
+        let [p50, p99] = h.quantiles([0.50, 0.99]);
+        for (q, got) in [(0.50, p50), (0.99, p99)] {
+            let want = exact_quantile(xs, q);
+            let err = got.abs_diff(want) as f64;
+            assert!(
+                err <= want as f64 * LogHistogram::MAX_RELATIVE_ERROR,
+                "q={q}: histogram {got} vs exact {want} over {} samples",
+                xs.len()
+            );
+        }
+        assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
+    }
+
+    #[test]
+    fn log_histogram_footprint_is_fixed_and_under_64_kib() {
+        let mut h = LogHistogram::new();
+        let bytes = |h: &LogHistogram| {
+            std::mem::size_of::<LogHistogram>() + std::mem::size_of_val(&*h.counts)
+        };
+        let before = bytes(&h);
+        assert!(before <= 64 * 1024, "{before} bytes");
+        for i in 0..100_000u64 {
+            h.record(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 64));
+        }
+        assert_eq!(bytes(&h), before);
+        const { assert!(LogHistogram::MAX_RELATIVE_ERROR < 0.01) };
+    }
+
+    #[test]
+    fn log_histogram_edges_and_empty() {
+        let empty = LogHistogram::new();
+        assert_eq!(empty.quantiles([0.5, 0.99]), [0, 0]);
+        for v in [0, 1, 127, 128, 255, 256, 1 << 40, u64::MAX - 1, u64::MAX] {
+            check_log_histogram(&[v]);
+            check_log_histogram(&[v; 5]);
+        }
+        check_log_histogram(&[0, u64::MAX]);
+        check_log_histogram(&[0, 1, u64::MAX]);
+        // Values below 128 are exact.
+        let mut h = LogHistogram::new();
+        for v in 0..128 {
+            h.record(v);
+        }
+        assert_eq!(h.quantiles([0.0, 0.5, 1.0]), [0, 64, 127]);
+    }
+
+    #[test]
+    fn log_histogram_buckets_tile_the_u64_range() {
+        // Every bucket's midpoint maps back to the bucket, and bucket
+        // boundaries map to adjacent buckets in order.
+        for i in 0..LOG_BUCKETS {
+            assert_eq!(bucket_of(bucket_mid(i)), i, "bucket {i}");
+        }
+        for m in LOG_SUB_BITS..64 {
+            let lo = 1u64 << m;
+            assert_eq!(bucket_of(lo - 1) + 1, bucket_of(lo), "octave {m}");
+        }
+        assert_eq!(bucket_of(u64::MAX), LOG_BUCKETS - 1);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random streams over every magnitude: `m >> e` spreads the
+        /// samples from 0 up to `u64::MAX`.
+        #[test]
+        fn log_histogram_quantiles_match_exact_nearest_rank(
+            xs in prop::collection::vec((0u64..=u64::MAX, 0u32..64), 1..600),
+        ) {
+            let xs: Vec<u64> = xs.into_iter().map(|(m, e)| m >> e).collect();
+            check_log_histogram(&xs);
+        }
+
+        /// Narrow streams: latencies clustered in one decade, as served
+        /// requests are.
+        #[test]
+        fn log_histogram_clustered_streams(
+            base in 1_000u64..10_000_000,
+            xs in prop::collection::vec(0u64..1000, 1..600),
+        ) {
+            let xs: Vec<u64> = xs.into_iter().map(|x| base + x * (base / 1000)).collect();
+            check_log_histogram(&xs);
+        }
+
+        #[test]
+        fn log_histogram_all_equal_and_two_point_streams(
+            a in 0u64..=u64::MAX,
+            b in 0u64..=u64::MAX,
+            shift in 0u32..64,
+            na in 1usize..300,
+            nb in 0usize..300,
+        ) {
+            let (a, b) = (a >> shift, b >> (63 - shift));
+            check_log_histogram(&vec![a; na]);
+            let mut xs = vec![a; na];
+            xs.extend(std::iter::repeat_n(b, nb));
+            check_log_histogram(&xs);
+        }
     }
 }
